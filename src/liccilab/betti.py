@@ -5,7 +5,10 @@ ideal and runs Hochster's formula: for each candidate vertex subset W of
 the polarized ambient, beta_{i,|W|} picks up the reduced homology of the
 induced Stanley-Reisner subcomplex in degree |W| - i - 1.  Only subsets
 that are unions of generator supports can contribute (any other W has a
-cone vertex), which keeps the enumeration small.
+cone vertex), which keeps the enumeration small.  The homology of each
+induced complex comes from ``homology_dims_of_faces``, which first
+quotients it by the closed star of one vertex: the star is a cone, so
+the relative homology equals the reduced homology over every field.
 
 ``taylor_oracle`` is a deliberately separate code path for cross checks:
 it tensors the Taylor complex on the generator subsets with the base
@@ -101,12 +104,16 @@ def _check_table_input(ideal: MonomialIdeal, op: str):
         raise IdealError(f"{op} wants a nonzero proper ideal")
 
 
+# Tables kept by each engine's cache, least recently used dropped first.
+_CACHE_SIZE = 4096
+
+
 def betti_table(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> BettiTable:
     """Graded Betti table of S/I via polarization and subset homology."""
     return _betti_table_cached(ideal, field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _betti_table_cached(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     _check_table_input(ideal, "betti_table")
     sq = polarize(ideal)
@@ -135,7 +142,7 @@ def taylor_oracle(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> BettiTa
     return _taylor_oracle_cached(ideal, field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _taylor_oracle_cached(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     _check_table_input(ideal, "taylor_oracle")
     gens = ideal.gens

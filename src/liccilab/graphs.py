@@ -99,7 +99,10 @@ _BUILDERS = {
 def build(kind: str, **params) -> Graph:
     if kind not in _BUILDERS:
         raise IdealError(f"unknown graph kind {kind!r}")
-    return _BUILDERS[kind](**params)
+    try:
+        return _BUILDERS[kind](**params)
+    except KeyError as exc:
+        raise IdealError(f"graph kind {kind!r} needs parameter {exc.args[0]!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,11 @@ def ideal_from_doc(doc: dict) -> MonomialIdeal:
         else:
             if len(item) != len(names):
                 raise IdealError(f"generator {item!r} has the wrong length")
-            gens.append(Monomial(tuple(int(e) for e in item)))
+            try:
+                exps = tuple(int(e) for e in item)
+            except (TypeError, ValueError) as exc:
+                raise IdealError(f"generator {item!r} has a non-integer exponent") from exc
+            gens.append(Monomial(exps))
     return MonomialIdeal(names, gens)
 
 
@@ -121,7 +125,10 @@ def field_from_doc(text: str) -> FieldSpec:
     if text in ("q", "qq", "rationals"):
         return RATIONALS
     if text.startswith("fp:"):
-        return FieldSpec(int(text[3:]))
+        try:
+            return FieldSpec(int(text[3:]))
+        except ValueError as exc:
+            raise IdealError(f"bad field {text!r}: {exc}") from exc
     raise IdealError(f"unknown field {text!r} (use 'q' or 'fp:<p>')")
 
 

@@ -2,6 +2,7 @@
 Fraction-based Gaussian elimination that shares no code with the library."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from liccilab.exact import (
     MatrixFormatError,
     RATIONALS,
     SparseMatrix,
+    _is_prime,
     prime_field,
     rank,
 )
@@ -188,3 +190,35 @@ def test_large_sparse_path_exercised():
     m = SparseMatrix.from_dense(dense)
     assert rank(m, RATIONALS) == rank_by_fractions(dense, 0)
     assert rank(m, GF2) == rank_by_fractions(dense, 2)
+
+
+def sieve(limit):
+    flags = [True] * limit
+    flags[0] = flags[1] = False
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(flags[i * i :: i])
+    return flags
+
+
+def test_primality_agrees_with_sieve_below_10000():
+    flags = sieve(10_000)
+    for p in range(10_000):
+        assert _is_prime(p) == flags[p], p
+
+
+def test_primality_rejects_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    for n in (561, 2047, 3215031751):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            FieldSpec(n)
+
+
+def test_large_machine_word_prime_is_accepted_at_once():
+    start = time.perf_counter()
+    assert prime_field(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError):
+        prime_field(2**61 + 1)
+    assert time.perf_counter() - start < 1.0

@@ -1,6 +1,10 @@
 """Document round trips and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,34 @@ def test_cli_variable_cap_reported(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "betti", "--ideal", str(p))
     assert code == 2
     assert "4" in err and "cap" in err
+
+
+C5_DOC = {"vars": ["x1", "x2", "x3", "x4", "x5"],
+          "gens": [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0],
+                   [0, 0, 0, 1, 1], [1, 0, 0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["betti", "--field", "fp:4", "--ideal", "{doc}"], C5_DOC),
+        (["betti", "--field", "fp:abc", "--ideal", "{doc}"], C5_DOC),
+        (["construct", "edge", "--kind", "star"], None),
+        (["betti", "--ideal", "{doc}"], {"vars": ["x", "y"], "gens": [["a", 1]]}),
+    ],
+    ids=["field-fp4", "field-fp-abc", "star-without-k", "exponent-not-integer"],
+)
+def test_cli_malformed_input_exits_2_without_traceback(tmp_path, argv, doc):
+    path = tmp_path / "ideal.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    argv = [a.replace("{doc}", str(path)) for a in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "liccilab", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
