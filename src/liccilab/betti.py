@@ -1,6 +1,7 @@
 """Graded Betti tables of monomial ideals and derived invariants.
 
-Two independent engines are provided.  ``betti_table`` polarizes the
+Two engines are provided.  They build different chain complexes and
+take their homology with the same code.  ``betti_table`` polarizes the
 ideal and runs Hochster's formula: for each candidate vertex subset W of
 the polarized ambient, beta_{i,|W|} picks up the reduced homology of the
 induced Stanley-Reisner subcomplex in degree |W| - i - 1.  Only subsets
@@ -10,10 +11,18 @@ induced complex comes from ``homology_dims_of_faces``, which first
 quotients it by the closed star of one vertex: the star is a cone, so
 the relative homology equals the reduced homology over every field.
 
-``taylor_oracle`` is a deliberately separate code path for cross checks:
-it tensors the Taylor complex on the generator subsets with the base
-field, keeping a boundary entry only when deleting the generator leaves
-the subset lcm unchanged, and reads Tor off blockwise by multidegree.
+``taylor_oracle`` tensors the Taylor complex on the generator subsets
+with the base field and reads Tor off blockwise by multidegree: the
+subsets sharing one lcm form a block, and a boundary entry survives only
+when deleting the generator leaves the subset lcm unchanged.
+
+Both engines hand their cells (the faces outside the star, or one lcm
+block) to ``squarefree.cell_homology_dims``, the one signed boundary
+builder, which ranks with ``exact.rank_rows``.  What still differs
+between the engines is complex construction: polarization and Hochster's
+formula against the lcm lattice.  The shared core is guarded by the
+unreduced reference in ``tests/test_homology_differential.py`` and by the
+Fraction elimination in ``tests/test_exact.py``.
 """
 
 from __future__ import annotations
@@ -21,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import FieldSpec, RATIONALS, rank_rows
+from .exact import FieldSpec, RATIONALS
 from .monomial import IdealError, Monomial, MonomialIdeal
 from .polarization import polarize
-from .squarefree import faces_avoiding, homology_dims_of_faces
+from .squarefree import cell_homology_dims, faces_avoiding, homology_dims_of_faces
 
 
 class BettiTable:
@@ -149,46 +158,24 @@ def _taylor_oracle_cached(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     m = len(gens)
     if m > _TAYLOR_MAX_GENS:
         raise IdealError(f"taylor_oracle caps at {_TAYLOR_MAX_GENS} generators, got {m}")
-    n = ideal.n_vars
-    unit = Monomial.unit(n)
+    unit = Monomial.unit(ideal.n_vars)
 
+    # the subsets sharing one lcm form a relative complex of the simplex on
+    # the generators: deleting a generator either keeps the lcm, or leaves
+    # the block with a nonconstant Taylor coefficient, zero over the field
     lcms = [unit] * (1 << m)
+    blocks: dict = {unit: [0]}
     for s in range(1, 1 << m):
         low = s & -s
         lcms[s] = lcms[s ^ low].lcm(gens[low.bit_length() - 1])
-
-    blocks: dict = {}
-    for s in range(1 << m):
-        blocks.setdefault(lcms[s], {}).setdefault(s.bit_count(), []).append(s)
+        blocks.setdefault(lcms[s], []).append(s)
 
     entries: dict = {}
-    for deg_vec, layers in blocks.items():
-        index = {}
-        for i, subs in layers.items():
-            subs.sort()
-            index[i] = {s: pos for pos, s in enumerate(subs)}
-        top = max(layers)
-        ranks = {i: 0 for i in range(top + 2)}
-        for i in layers:
-            if i == 0:
-                continue
-            below = index.get(i - 1, {})
-            rows: dict = {}
-            for col, s in enumerate(layers[i]):
-                sign = 1
-                for b in range(s.bit_length()):
-                    if s >> b & 1:
-                        sub = s & ~(1 << b)
-                        if lcms[sub] == deg_vec:
-                            rows.setdefault(below[sub], {})[col] = sign
-                        sign = -sign
-            ranks[i] = rank_rows(rows, field)
+    for deg_vec, block in blocks.items():
         j = deg_vec.degree
-        for i, subs in layers.items():
-            tor = len(subs) - ranks[i] - ranks.get(i + 1, 0)
+        for i, tor in cell_homology_dims(block, field).items():
             if tor:
-                key = (i, j)
-                entries[key] = entries.get(key, 0) + tor
+                entries[(i, j)] = entries.get((i, j), 0) + tor
     return BettiTable(ideal.n_vars, field, entries)
 
 

@@ -42,6 +42,12 @@ def _graph_from_args(args) -> "Graph":
         return serialize.graph_from_doc(_read_json(args.graph))
     if not args.kind:
         raise IdealError("give --graph FILE or --kind with its parameters")
+    if args.kind == "edge_list" and args.edges:
+        try:
+            edges = json.loads(args.edges)
+        except json.JSONDecodeError as exc:
+            raise IdealError(f"--edges is not JSON: {exc}") from exc
+        return serialize.graph_from_doc({"n": args.n, "edges": edges})
     params = {}
     if args.n is not None:
         params["n"] = args.n
@@ -49,9 +55,6 @@ def _graph_from_args(args) -> "Graph":
         params["k"] = args.k
     if args.isolated is not None:
         params["isolated"] = args.isolated
-    if args.edges:
-        params["edges"] = [tuple(e) for e in json.loads(args.edges)]
-        params.setdefault("n", args.n)
     return build(args.kind, **params)
 
 

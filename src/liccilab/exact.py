@@ -1,9 +1,20 @@
 """Exact rank computation for sparse integer matrices.
 
-Ranks are computed over the rationals (fraction-free integer elimination,
-Bareiss-style, so no rational normalization ever happens) or over a prime
-field GF(p).  Everything here is pure and deterministic: fixed pivoting
-rules, no floating point, safe to call concurrently.
+One elimination routine, ``rank_rows``, serves the rationals and every
+prime field GF(p); it is keyed on p, with p == 0 meaning QQ.  Small
+matrices go straight to the dense kernel.  Larger ones first run a sparse
+phase that pivots only on units, taking among the first 64 candidates
+the one with the least Markowitz fill-in.  A unit is +-1 over QQ and any
+nonzero entry over GF(p), so over QQ the phase never divides, and over
+GF(p) it eliminates everything.  What survives it over QQ goes to the
+dense kernel: Bareiss over QQ, so entries stay integer minors and no
+rational normalization ever happens, and the same update taken mod p,
+without the division, over GF(p).  The Fraction elimination in
+``tests/test_exact.py`` shares no code with this module and is the
+reference it is checked against.
+
+Everything here is pure and deterministic: fixed pivoting rules, no
+floating point, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -116,6 +127,9 @@ def rank(matrix: SparseMatrix, field: FieldSpec = RATIONALS) -> int:
     return rank_rows(matrix.to_rows(), field)
 
 
+_DENSE_LIMIT = 4096
+
+
 def rank_rows(rows: dict, field: FieldSpec = RATIONALS) -> int:
     """Rank of a matrix given as {row_id: {col_id: int value}}.
 
@@ -123,109 +137,29 @@ def rank_rows(rows: dict, field: FieldSpec = RATIONALS) -> int:
     GF(p) entries are reduced mod p.  Row/column ids may be arbitrary
     hashables; absent rows and columns are zero and do not affect the rank.
     """
+    p = field.p
     cleaned = {}
     for r, row in rows.items():
-        if field.is_rationals:
-            nz = {c: v for c, v in row.items() if v}
+        if p:
+            nz = {c: v % p for c, v in row.items() if v % p}
         else:
-            nz = {c: v % field.p for c, v in row.items() if v % field.p}
+            nz = {c: v for c, v in row.items() if v}
         if nz:
             cleaned[r] = nz
-    if not cleaned:
+    rows = cleaned
+    if not rows:
         return 0
-    if field.is_rationals:
-        return _rank_int(cleaned)
-    return _rank_mod(cleaned, field.p)
-
-
-def _densify(rows: dict):
-    row_ids = sorted(rows, key=repr)
-    col_ids = sorted({c for row in rows.values() for c in row}, key=repr)
-    cpos = {c: i for i, c in enumerate(col_ids)}
-    dense = [[0] * len(col_ids) for _ in row_ids]
-    for i, r in enumerate(row_ids):
-        for c, v in rows[r].items():
-            dense[i][cpos[c]] = v
-    return dense
-
-
-def _bareiss_dense(m) -> int:
-    """Fraction-free elimination; entries stay minors so divisions are exact."""
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank_ = 0
-    prev = 1
-    for c in range(nc):
-        piv = None
-        for r in range(rank_, nr):
-            if m[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank_:
-            m[rank_], m[piv] = m[piv], m[rank_]
-        pv = m[rank_][c]
-        prow = m[rank_]
-        for r in range(rank_ + 1, nr):
-            row = m[r]
-            f = row[c]
-            for k in range(c + 1, nc):
-                row[k] = (row[k] * pv - f * prow[k]) // prev
-            row[c] = 0
-        prev = pv
-        rank_ += 1
-        if rank_ == nr:
-            break
-    return rank_
-
-
-def _gauss_mod_dense(m, p) -> int:
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank_ = 0
-    for c in range(nc):
-        piv = None
-        for r in range(rank_, nr):
-            if m[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank_:
-            m[rank_], m[piv] = m[piv], m[rank_]
-        inv = pow(m[rank_][c], -1, p)
-        prow = m[rank_]
-        for r in range(rank_ + 1, nr):
-            f = m[r][c] * inv % p
-            if f:
-                row = m[r]
-                for k in range(c, nc):
-                    row[k] = (row[k] - f * prow[k]) % p
-        rank_ += 1
-        if rank_ == nr:
-            break
-    return rank_
-
-
-_DENSE_LIMIT = 4096
-
-
-def _rank_int(rows: dict) -> int:
     ncols = len({c for row in rows.values() for c in row})
     if len(rows) * ncols <= _DENSE_LIMIT:
-        return _bareiss_dense(_densify(rows))
+        return _dense_rank(rows, p)
 
-    # Sparse phase: eliminate with +-1 pivots only, which keeps every entry an
-    # integer without any division.  Whatever survives goes through Bareiss.
+    # sparse phase: pivot only on units, so over QQ nothing is ever divided
     col_rows: dict = {}
     units: dict = {}
     for r, row in rows.items():
         for c, v in row.items():
             col_rows.setdefault(c, set()).add(r)
-            if v in (1, -1):
+            if p or v in (1, -1):
                 units[(r, c)] = None
 
     rank_ = 0
@@ -236,7 +170,7 @@ def _rank_int(rows: dict) -> int:
         for key in units:
             r, c = key
             row = rows.get(r)
-            if row is None or c not in row or row[c] not in (1, -1):
+            if row is None or c not in row or not (p or row[c] in (1, -1)):
                 stale.append(key)
                 continue
             cost = (len(row) - 1) * (len(col_rows[c]) - 1)
@@ -252,20 +186,23 @@ def _rank_int(rows: dict) -> int:
         _, pr, pc = best
         units.pop((pr, pc), None)
         piv_row = rows.pop(pr)
-        pv = piv_row[pc]
         for c in piv_row:
             col_rows[c].discard(pr)
         rank_ += 1
+        # over QQ the pivot is +-1, its own inverse
+        inv = pow(piv_row[pc], -1, p) if p else piv_row[pc]
         for r2 in list(col_rows[pc]):
             row2 = rows[r2]
-            f = row2[pc] * pv
+            f = row2[pc] * inv
             for c, v in piv_row.items():
                 nv = row2.get(c, 0) - f * v
+                if p:
+                    nv %= p
                 if nv:
                     if c not in row2:
                         col_rows[c].add(r2)
                     row2[c] = nv
-                    if nv in (1, -1):
+                    if p or nv in (1, -1):
                         units[(r2, c)] = None
                 elif c in row2:
                     del row2[c]
@@ -275,64 +212,52 @@ def _rank_int(rows: dict) -> int:
                 del rows[r2]
 
     if rows:
-        rank_ += _bareiss_dense(_densify(rows))
+        rank_ += _dense_rank(rows, p)
     return rank_
 
 
-def _rank_mod(rows: dict, p: int) -> int:
-    ncols = len({c for row in rows.values() for c in row})
-    if len(rows) * ncols <= _DENSE_LIMIT:
-        return _gauss_mod_dense(_densify(rows), p)
+def _dense_rank(rows: dict, p: int) -> int:
+    """Rank of a nonempty {row: {col: value}} matrix, eliminated densely.
 
-    col_rows: dict = {}
-    live: dict = {}
-    for r, row in rows.items():
+    Each row below the pivot row becomes pv * row - f * pivot_row.  Over
+    QQ (p == 0) this is Bareiss: entries stay minors, so dividing by the
+    previous pivot is exact.  Over GF(p) the same update is taken mod p,
+    with no division, and rows with f == 0 are left alone.
+    """
+    cols: dict = {}
+    for row in rows.values():
         for c in row:
-            col_rows.setdefault(c, set()).add(r)
-            live[(r, c)] = None
-
+            cols.setdefault(c, len(cols))
+    m = []
+    for row in rows.values():
+        dense = [0] * len(cols)
+        for c, v in row.items():
+            dense[cols[c]] = v
+        m.append(dense)
+    nr, nc = len(m), len(m[0])
     rank_ = 0
-    while live:
-        best = None
-        stale = []
-        scanned = 0
-        for key in live:
-            r, c = key
-            row = rows.get(r)
-            if row is None or c not in row:
-                stale.append(key)
-                continue
-            cost = (len(row) - 1) * (len(col_rows[c]) - 1)
-            if best is None or cost < best[0]:
-                best = (cost, r, c)
-            scanned += 1
-            if scanned >= 64 or cost == 0:
+    prev = 1
+    for c in range(nc):
+        for piv in range(rank_, nr):
+            if m[piv][c]:
                 break
-        for key in stale:
-            del live[key]
-        if best is None:
+        else:
             continue
-        _, pr, pc = best
-        live.pop((pr, pc), None)
-        piv_row = rows.pop(pr)
-        inv = pow(piv_row[pc], -1, p)
-        for c in piv_row:
-            col_rows[c].discard(pr)
+        m[rank_], m[piv] = m[piv], m[rank_]
+        prow = m[rank_]
+        pv = prow[c]
+        for r in range(rank_ + 1, nr):
+            row = m[r]
+            f = row[c]
+            if p:
+                if f:
+                    for k in range(c + 1, nc):
+                        row[k] = (row[k] * pv - f * prow[k]) % p
+            else:
+                for k in range(c + 1, nc):
+                    row[k] = (row[k] * pv - f * prow[k]) // prev
+        prev = pv
         rank_ += 1
-        for r2 in list(col_rows[pc]):
-            row2 = rows[r2]
-            f = row2[pc] * inv % p
-            for c, v in piv_row.items():
-                nv = (row2.get(c, 0) - f * v) % p
-                if nv:
-                    if c not in row2:
-                        col_rows[c].add(r2)
-                        live[(r2, c)] = None
-                    row2[c] = nv
-                elif c in row2:
-                    del row2[c]
-                    col_rows[c].discard(r2)
-                    live.pop((r2, c), None)
-            if not row2:
-                del rows[r2]
+        if rank_ == nr:
+            break
     return rank_

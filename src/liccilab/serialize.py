@@ -23,6 +23,13 @@ def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _integer(value) -> int:
+    """``int(value)`` without truncation: 1.5, inf or nan raise ValueError."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 # -- monomials ------------------------------------------------------------
 
 
@@ -86,7 +93,7 @@ def ideal_from_doc(doc: dict) -> MonomialIdeal:
             if len(item) != len(names):
                 raise IdealError(f"generator {item!r} has the wrong length")
             try:
-                exps = tuple(int(e) for e in item)
+                exps = tuple(_integer(e) for e in item)
             except (TypeError, ValueError) as exc:
                 raise IdealError(f"generator {item!r} has a non-integer exponent") from exc
             gens.append(Monomial(exps))
@@ -106,8 +113,8 @@ def graph_to_doc(g: Graph) -> dict:
 
 def graph_from_doc(doc: dict) -> Graph:
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+        n = _integer(doc["n"])
+        edges = [(_integer(u), _integer(v)) for u, v in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise IdealError(f"graph document needs 'n' and 'edges': {exc}") from exc
     return from_edges(n, edges, doc.get("labels"))

@@ -134,7 +134,8 @@ def homology_dims_of_faces(faces, field: FieldSpec = RATIONALS) -> tuple:
     v not in F and F + v not a face.  The star is a cone, so
     H~_k(Delta) = H_k(Delta, st v) over the integers, hence over every
     field with torsion included, and the relative chain complex is the
-    plain restriction of the boundary maps to the kept faces.
+    plain restriction of the boundary maps to the kept faces, which
+    ``cell_homology_dims`` ranks.
     """
     if not faces:
         return ()
@@ -148,18 +149,30 @@ def homology_dims_of_faces(faces, field: FieldSpec = RATIONALS) -> tuple:
         v = max(vertices, key=lambda b: sum(map(b.__and__, faces)) // b)
         face_set = set(faces)
         cells = [f for f in faces if not f & v and f | v not in face_set]
+    dims = cell_homology_dims(cells, field)
+    return tuple(dims.get(s, 0) for s in range(top + 1))
+
+
+def cell_homology_dims(cells, field: FieldSpec = RATIONALS) -> dict:
+    """Homology dimensions of the chain complex spanned by bitmask cells.
+
+    A cell of size s has as boundary the signed sum of its deletions (the
+    k-th set bit, counted from 0, with sign (-1)^k) that are cells too;
+    deletions outside the family are dropped.  For a family that is the
+    difference of two subcomplexes of a simplex, such as a complex
+    relative to a vertex star or a Taylor lcm block, this is the relative
+    chain complex.  Returns {s: dimension of the homology at size s} for
+    every size s that occurs.
+    """
     layers: dict = {}
     for f in cells:
         layers.setdefault(f.bit_count(), []).append(f)
-    index = {}
+    index = {s: {f: i for i, f in enumerate(fl)} for s, fl in layers.items()}
+    ranks = {}
     for s, fl in layers.items():
-        fl.sort()
-        index[s] = {f: i for i, f in enumerate(fl)}
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
         below = index.get(s - 1, {})
         rows: dict = {}
-        for j, f in enumerate(layers.get(s, ())):
+        for j, f in enumerate(fl):
             sign = 1
             for i in range(f.bit_length()):
                 if f >> i & 1:
@@ -168,10 +181,7 @@ def homology_dims_of_faces(faces, field: FieldSpec = RATIONALS) -> tuple:
                         rows.setdefault(row, {})[j] = sign
                     sign = -sign
         ranks[s] = rank_rows(rows, field)
-    dims = []
-    for s in range(top + 1):
-        dims.append(len(layers.get(s, ())) - ranks[s] - ranks[s + 1])
-    return tuple(dims)
+    return {s: len(fl) - ranks[s] - ranks.get(s + 1, 0) for s, fl in layers.items()}
 
 
 def reduced_homology_dims(

@@ -181,15 +181,25 @@ def test_boundary_matrix_ranks_agree_across_fields():
 
 
 def test_large_sparse_path_exercised():
-    # force the sparse elimination branch (above the dense cutoff)
+    # force the sparse elimination branch (above the dense cutoff), on a
+    # random matrix and on one whose last 30 rows depend on its first 60,
+    # where a pivot that fails to clear its column overcounts the rank
     rng = random.Random(99)
     nr = nc = 90
     dense = [[0] * nc for _ in range(nr)]
     for _ in range(600):
         dense[rng.randrange(nr)][rng.randrange(nc)] = rng.choice([-1, 1, 2, -3])
-    m = SparseMatrix.from_dense(dense)
-    assert rank(m, RATIONALS) == rank_by_fractions(dense, 0)
-    assert rank(m, GF2) == rank_by_fractions(dense, 2)
+    deficient = dense[:60]
+    for _ in range(30):
+        i, j = rng.randrange(60), rng.randrange(60)
+        a, b = rng.choice([1, -1, 2]), rng.choice([1, 3])
+        deficient.append([a * x + b * y for x, y in zip(dense[i], dense[j])])
+    for rows in (dense, deficient):
+        m = SparseMatrix.from_dense(rows)
+        assert rank(m, RATIONALS) == rank_by_fractions(rows, 0)
+        # over GF(p) with p > 2 a unit pivot is not only +-1
+        for p in (2, 3, 32749):
+            assert rank(m, FieldSpec(p)) == rank_by_fractions(rows, p)
 
 
 def sieve(limit):

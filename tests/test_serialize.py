@@ -205,8 +205,15 @@ C5_DOC = {"vars": ["x1", "x2", "x3", "x4", "x5"],
         (["betti", "--field", "fp:abc", "--ideal", "{doc}"], C5_DOC),
         (["construct", "edge", "--kind", "star"], None),
         (["betti", "--ideal", "{doc}"], {"vars": ["x", "y"], "gens": [["a", 1]]}),
+        (["betti", "--ideal", "{doc}"], {"vars": ["x", "y"], "gens": [[1.5, 1]]}),
+        (["construct", "edge", "--graph", "{doc}"], {"n": 3, "edges": [[1, 2.5]]}),
+        (["construct", "edge", "--kind", "edge_list", "--edges", "[[1,2]]"], None),
+        (["construct", "edge", "--kind", "edge_list", "--n", "3", "--edges", "abc"], None),
+        (["construct", "edge", "--kind", "edge_list", "--n", "3", "--edges", "[[1]]"], None),
     ],
-    ids=["field-fp4", "field-fp-abc", "star-without-k", "exponent-not-integer"],
+    ids=["field-fp4", "field-fp-abc", "star-without-k", "exponent-not-integer",
+         "exponent-fractional", "vertex-fractional", "edges-without-n",
+         "edges-not-json", "edges-not-pairs"],
 )
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, argv, doc):
     path = tmp_path / "ideal.json"
