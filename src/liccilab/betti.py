@@ -192,19 +192,21 @@ class IdealInvariants:
 
 def invariants(table: BettiTable, ideal: MonomialIdeal) -> IdealInvariants:
     """pd, reg, depth (Auslander-Buchsbaum), CM, Gorenstein and linearity."""
-    pd = table.pd
-    reg = table.reg
+    return _invariants_from(table.pd, table.reg, table.total(table.pd), ideal)
+
+
+def _invariants_from(pd: int, reg: int, last: int, ideal: MonomialIdeal) -> IdealInvariants:
+    # last is the total Betti number in homological degree pd; the Artinian
+    # path passes pd = n, the top socle degree and the socle dimension
     alpha = ideal.alpha()
-    height = ideal.height()
-    is_cm = pd == height
-    degrees = {g.degree for g in ideal.gens}
+    is_cm = pd == ideal.height()
     return IdealInvariants(
         pd=pd,
         reg=reg,
-        depth=table.n_vars - pd,
+        depth=ideal.n_vars - pd,
         is_CM=is_cm,
-        is_gorenstein=is_cm and table.total(pd) == 1,
-        has_linear_resolution=len(degrees) == 1 and reg == alpha - 1,
+        is_gorenstein=is_cm and last == 1,
+        has_linear_resolution=len({g.degree for g in ideal.gens}) == 1 and reg == alpha - 1,
         alpha=alpha,
     )
 

@@ -23,7 +23,11 @@ class Graph:
         n = len(labels)
         norm = set()
         for e in self.edges:
-            u, v = e
+            u, v = _pair(e)
+            for x in (u, v):
+                # bool is an int subclass, but True is no vertex index
+                if type(x) is not int:
+                    raise IdealError(f"vertex index {x!r} is not an integer")
             if u == v:
                 raise IdealError("loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -44,6 +48,14 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
+
+
+def _pair(e) -> tuple:
+    try:
+        u, v = e
+    except (TypeError, ValueError) as exc:
+        raise IdealError(f"edge {e!r} is not a pair of vertices") from exc
+    return u, v
 
 
 def _default_labels(n: int) -> tuple:
@@ -84,7 +96,10 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     labels = tuple(labels) if labels else _default_labels(n)
     if len(labels) != n:
         raise IdealError("label count does not match n")
-    return Graph(labels, frozenset((u - 1, v - 1) for u, v in edges))
+    # only integers shift to 0-based; Graph rejects anything else as given
+    return Graph(labels, tuple(
+        tuple(x - 1 if type(x) is int else x for x in _pair(e)) for e in edges
+    ))
 
 
 _BUILDERS = {

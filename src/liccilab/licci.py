@@ -6,19 +6,24 @@ x^B * K), replace it by (x_i^{a_i - b_i} : i) + K and repeat.  Reaching
 the unit ideal certifies licci; reaching a sharp part whose generators
 have no common variable is a fixpoint and certifies not licci.
 
-``classify`` wraps the iteration in a cascade of cheaper classical
-certificates (Cohen-Macaulayness, low height, Gorenstein codimension 3,
-the Huneke-Ulrich regularity obstruction, bi-CM duality), each carrying a
-citation and computed witnesses in the verdict.  Licci is always read at
-the homogeneous maximal ideal.
+``_RULES`` is one ordered table of the rules R1-R7: the iteration (R6)
+and cheaper classical certificates (complete intersections,
+Cohen-Macaulayness, low height, Gorenstein codimension 3, the
+Huneke-Ulrich regularity obstruction, bi-CM duality).  Each entry holds
+its citation and a test that reads the ideal's invariants, height and
+dual from one lazily filled ``_Facts`` and returns a status with computed
+witnesses.  ``classify`` returns the first rule that fires and
+``audit_rules`` every one, so the two cannot drift apart.  Licci is
+always read at the homogeneous maximal ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
-from .betti import betti_table, invariants, IdealInvariants
+from .betti import IdealInvariants, _invariants_from, betti_table, invariants
 from .exact import FieldSpec, RATIONALS
 from .monomial import IdealError, Monomial, MonomialIdeal
 from .squarefree import alexander_dual
@@ -26,16 +31,6 @@ from .squarefree import alexander_dual
 LICCI = "Licci"
 NOT_LICCI = "NotLicci"
 UNKNOWN = "Unknown"
-
-CITATIONS = {
-    "R1": "licci ideals are Cohen-Macaulay (Peskine-Szpiro; graded case via Nagata localization)",
-    "R2": "principal ideals and complete intersections are licci (height-one CM ideals in a UFD are principal)",
-    "R3": "Cohen-Macaulay ideals of height at most 2 in a regular local ring are licci (Gaeta-type; Kimura-Terai-Yoshida, Lemma 2.2)",
-    "R4": "Gorenstein ideals of height 3 in a regular local ring are licci (Watanabe; Kimura-Terai-Yoshida, Lemma 2.2)",
-    "R5": "regularity obstruction: reg(S/I) <= (alpha-1) pd(S/I) - alpha forbids licci for CM ideals (Huneke-Ulrich, The structure of linkage, Cor. 5.13)",
-    "R6": "Huneke-Ulrich standard-form iteration decides licci for Artinian monomial ideals",
-    "R7": "a bi-CM squarefree ideal is licci iff its height is at most 2 or it is generated by variables (Terai duality with the Huneke-Ulrich obstruction forces alpha = 1 in height >= 3)",
-}
 
 
 @dataclass(frozen=True)
@@ -93,17 +88,6 @@ def hu_step(ideal: MonomialIdeal) -> HUStepResult:
     return HUStepResult("next", nxt, summary)
 
 
-def _pure_power_weight(ideal: MonomialIdeal) -> int:
-    # sum of the a_i; an Artinian minimal generating set holds exactly one
-    # pure power per variable
-    total = 0
-    for g in ideal.gens:
-        pp = g.pure_power()
-        if pp:
-            total += pp[1]
-    return total
-
-
 def hu_decide(ideal: MonomialIdeal) -> LicciVerdict:
     """Iterate hu_step to a unit ideal (licci) or a fixpoint (not licci)."""
     if not ideal.is_artinian() or not ideal.is_proper:
@@ -111,7 +95,8 @@ def hu_decide(ideal: MonomialIdeal) -> LicciVerdict:
     trace = []
     current = ideal
     k = 0
-    weight = _pure_power_weight(current)
+    # the sum of the a_i must fall at every step
+    weight = sum(current.pure_powers().values())
     while True:
         k += 1
         step = hu_step(current)
@@ -130,13 +115,13 @@ def hu_decide(ideal: MonomialIdeal) -> LicciVerdict:
             status = LICCI
             break
         trace.append(HUStep(k, current, step.summary))
-        new_weight = _pure_power_weight(current)
+        new_weight = sum(current.pure_powers().values())
         if new_weight >= weight:
             raise IdealError("iteration failed to decrease, input was malformed")
         weight = new_weight
     witness = f"terminated at step {k}: {trace[-1].note}"
     return LicciVerdict(
-        status, (RuleFiring("R6", CITATIONS["R6"], witness),), tuple(trace)
+        status, (RuleFiring("R6", _RULES["R6"].citation, witness),), tuple(trace)
     )
 
 
@@ -147,118 +132,128 @@ def obstruction_not_licci(ideal: MonomialIdeal, inv: IdealInvariants) -> bool:
     return inv.reg <= (inv.alpha - 1) * inv.pd - inv.alpha
 
 
-def _artinian_invariants(ideal: MonomialIdeal) -> IdealInvariants:
-    # Artinian quotients have depth 0, so pd = n = height and CM is automatic;
-    # regularity is the top socle degree and the CM type is the socle dimension.
-    n = ideal.n_vars
-    socle = ideal.socle_monomials()
-    return IdealInvariants(
-        pd=n,
-        reg=max(m.degree for m in socle),
-        depth=0,
-        is_CM=True,
-        is_gorenstein=len(socle) == 1,
-        has_linear_resolution=len({g.degree for g in ideal.gens}) == 1
-        and max(m.degree for m in socle) == ideal.alpha() - 1,
-        alpha=ideal.alpha(),
-    )
+@dataclass
+class _Facts:
+    """What the rules read about one ideal, each computed at most once."""
+
+    ideal: MonomialIdeal
+    field: FieldSpec
+
+    @cached_property
+    def inv(self) -> IdealInvariants:
+        ideal = self.ideal
+        if ideal.is_artinian():
+            # depth 0, so pd = n; the top socle degree is the regularity and
+            # the socle dimension the last Betti number
+            socle = ideal.socle_monomials()
+            return _invariants_from(ideal.n_vars, max(m.degree for m in socle), len(socle), ideal)
+        return invariants(betti_table(ideal, self.field), ideal)
+
+    @cached_property
+    def height(self) -> int:
+        return self.ideal.height()
+
+    @cached_property
+    def dual_is_CM(self) -> bool:
+        dual = alexander_dual(self.ideal)
+        return invariants(betti_table(dual, self.field), dual).is_CM
 
 
-def _invariants_for(ideal: MonomialIdeal, field: FieldSpec) -> IdealInvariants:
-    if ideal.is_artinian():
-        return _artinian_invariants(ideal)
-    return invariants(betti_table(ideal, field), ideal)
+class _Rule(NamedTuple):
+    """A test that returns None, (status, witness) or R6's verdict with its
+    trace, and the citation that backs it."""
+
+    test: Callable
+    citation: str
 
 
-def classify(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> LicciVerdict:
-    """Rule cascade deciding licci-ness at the homogeneous maximal ideal.
+def _complete_intersection(f: _Facts):
+    m = len(f.ideal.gens)
+    if f.ideal.is_complete_intersection():
+        return LICCI, "principal" if m == 1 else f"complete intersection on {m} disjoint supports"
 
-    Rules fire in order: (R1) non-CM, (R2) principal or complete
-    intersection, (R3) CM of height <= 2, (R4) Gorenstein of height 3,
-    (R5) the regularity obstruction, (R6) the Huneke-Ulrich iteration for
-    Artinian ideals, (R7) the bi-CM classification.  ``Unknown`` is a
-    legitimate outcome, not an error.
-    """
-    if ideal.is_zero or ideal.is_unit:
-        raise IdealError("classify wants a nonzero proper ideal")
 
-    # cheap certificates that do not need a Betti table
-    if ideal.is_complete_intersection() or len(ideal.gens) == 1:
-        witness = (
-            "principal" if len(ideal.gens) == 1 else
-            f"complete intersection on {len(ideal.gens)} disjoint supports"
-        )
-        return LicciVerdict(LICCI, (RuleFiring("R2", CITATIONS["R2"], witness),))
+def _not_cm(f: _Facts):
+    if not f.inv.is_CM:
+        return NOT_LICCI, f"pd={f.inv.pd} != height={f.height}"
 
-    inv = _invariants_for(ideal, field)
-    height = ideal.height()
 
-    if not inv.is_CM:
-        witness = f"pd={inv.pd} != height={height}"
-        return LicciVerdict(NOT_LICCI, (RuleFiring("R1", CITATIONS["R1"], witness),))
+def _cm_height_two(f: _Facts):
+    if f.inv.is_CM and f.height <= 2:
+        return LICCI, f"CM with height={f.height}"
 
-    if height <= 2:
-        witness = f"CM with height={height}"
-        return LicciVerdict(LICCI, (RuleFiring("R3", CITATIONS["R3"], witness),))
 
-    if height == 3 and inv.is_gorenstein:
-        witness = "Gorenstein with height=3"
-        return LicciVerdict(LICCI, (RuleFiring("R4", CITATIONS["R4"], witness),))
+def _gorenstein_height_three(f: _Facts):
+    if f.inv.is_gorenstein and f.height == 3:
+        return LICCI, "Gorenstein with height=3"
 
-    if obstruction_not_licci(ideal, inv):
-        witness = (
+
+def _obstructed(f: _Facts):
+    inv = f.inv
+    if inv.is_CM and obstruction_not_licci(f.ideal, inv):
+        return NOT_LICCI, (
             f"reg={inv.reg} <= (alpha-1)*pd - alpha = "
             f"{(inv.alpha - 1) * inv.pd - inv.alpha} (alpha={inv.alpha}, pd={inv.pd})"
         )
-        return LicciVerdict(NOT_LICCI, (RuleFiring("R5", CITATIONS["R5"], witness),))
 
-    if ideal.is_artinian():
-        return hu_decide(ideal)
 
-    if ideal.is_squarefree:
-        dual = alexander_dual(ideal)
-        dual_inv = invariants(betti_table(dual, field), dual)
-        if dual_inv.is_CM:
-            generated_by_vars = all(g.degree == 1 for g in ideal.gens)
-            if height <= 2 or generated_by_vars:
-                witness = f"bi-CM with height={height}"
-                return LicciVerdict(LICCI, (RuleFiring("R7", CITATIONS["R7"], witness),))
-            witness = (
-                f"bi-CM with height={height} >= 3, alpha={inv.alpha} > 1"
-            )
-            return LicciVerdict(NOT_LICCI, (RuleFiring("R7", CITATIONS["R7"], witness),))
+def _iteration(f: _Facts):
+    if f.ideal.is_artinian():
+        return hu_decide(f.ideal)
 
-    return LicciVerdict(UNKNOWN, ())
+
+def _bi_cm(f: _Facts):
+    if f.ideal.is_squarefree and f.inv.is_CM and f.dual_is_CM:
+        if f.height <= 2 or all(g.degree == 1 for g in f.ideal.gens):
+            return LICCI, f"bi-CM with height={f.height}"
+        return NOT_LICCI, f"bi-CM with height={f.height} >= 3, alpha={f.inv.alpha} > 1"
+
+
+# The rule table, in firing order (see classify for why R2 comes first).
+_RULES = {
+    "R2": _Rule(_complete_intersection, "principal ideals and complete intersections are licci (height-one CM ideals in a UFD are principal)"),
+    "R1": _Rule(_not_cm, "licci ideals are Cohen-Macaulay (Peskine-Szpiro; graded case via Nagata localization)"),
+    "R3": _Rule(_cm_height_two, "Cohen-Macaulay ideals of height at most 2 in a regular local ring are licci (Gaeta-type; Kimura-Terai-Yoshida, Lemma 2.2)"),
+    "R4": _Rule(_gorenstein_height_three, "Gorenstein ideals of height 3 in a regular local ring are licci (Watanabe; Kimura-Terai-Yoshida, Lemma 2.2)"),
+    "R5": _Rule(_obstructed, "regularity obstruction: reg(S/I) <= (alpha-1) pd(S/I) - alpha forbids licci for CM ideals (Huneke-Ulrich, The structure of linkage, Cor. 5.13)"),
+    "R6": _Rule(_iteration, "Huneke-Ulrich standard-form iteration decides licci for Artinian monomial ideals"),
+    "R7": _Rule(_bi_cm, "a bi-CM squarefree ideal is licci iff its height is at most 2 or it is generated by variables (Terai duality with the Huneke-Ulrich obstruction forces alpha = 1 in height >= 3)"),
+}
+
+
+def _firings(ideal: MonomialIdeal, field: FieldSpec, op: str):
+    """The verdict of every rule that fires on the ideal, in table order."""
+    if ideal.is_zero or ideal.is_unit:
+        raise IdealError(f"{op} wants a nonzero proper ideal")
+    facts = _Facts(ideal, field)
+    for rule_id, (test, citation) in _RULES.items():
+        out = test(facts)
+        if isinstance(out, tuple):
+            out = LicciVerdict(out[0], (RuleFiring(rule_id, citation, out[1]),))
+        if out is not None:
+            yield out
+
+
+def classify(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> LicciVerdict:
+    """The verdict of the first rule of the table that fires, else ``Unknown``.
+
+    Rules fire in order: (R2) principal or complete intersection, which
+    needs no Betti table, (R1) non-CM, (R3) CM of height <= 2, (R4)
+    Gorenstein of height 3, (R5) the regularity obstruction, (R6) the
+    Huneke-Ulrich iteration for Artinian ideals, (R7) the bi-CM
+    classification.  A complete intersection is CM, so R1 never fires where
+    R2 does.  ``Unknown`` is a legitimate outcome, not an error.
+    """
+    return next(_firings(ideal, field, "classify"), LicciVerdict(UNKNOWN, ()))
 
 
 def audit_rules(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> dict:
-    """Evaluate every applicable rule independently (for contradiction checks).
+    """Evaluate every rule of the table independently (for contradiction checks).
 
-    Returns {rule id: status} for each rule whose hypotheses hold; a sound
-    implementation never reports both Licci and NotLicci.
+    Returns {rule id: status} for each rule whose hypotheses hold, in table
+    order; a sound implementation never reports both Licci and NotLicci.
     """
-    out = {}
-    if ideal.is_complete_intersection() or len(ideal.gens) == 1:
-        out["R2"] = LICCI
-    inv = _invariants_for(ideal, field)
-    height = ideal.height()
-    if not inv.is_CM:
-        out["R1"] = NOT_LICCI
-    else:
-        if height <= 2:
-            out["R3"] = LICCI
-        if height == 3 and inv.is_gorenstein:
-            out["R4"] = LICCI
-        if obstruction_not_licci(ideal, inv):
-            out["R5"] = NOT_LICCI
-    if ideal.is_artinian():
-        out["R6"] = hu_decide(ideal).status
-    if ideal.is_squarefree and inv.is_CM and not ideal.is_zero:
-        dual = alexander_dual(ideal)
-        if invariants(betti_table(dual, field), dual).is_CM:
-            ok = height <= 2 or all(g.degree == 1 for g in ideal.gens)
-            out["R7"] = LICCI if ok else NOT_LICCI
-    return out
+    return {v.fired_rule: v.status for v in _firings(ideal, field, "audit_rules")}
 
 
 def licci_bound_check(ideal: MonomialIdeal, verdict: LicciVerdict) -> bool:

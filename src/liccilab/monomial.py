@@ -350,14 +350,11 @@ class MonomialIdeal:
 
     def is_artinian(self) -> bool:
         """True iff some generator is a pure power of every variable."""
-        if self.n_vars == 0:
-            return False
-        seen = set()
-        for g in self.gens:
-            pp = g.pure_power()
-            if pp:
-                seen.add(pp[0])
-        return len(seen) == self.n_vars
+        return self.n_vars > 0 and len(self.pure_powers()) == self.n_vars
+
+    def pure_powers(self) -> dict:
+        """{i: a_i} for every minimal generator that is a pure power x_i^{a_i}."""
+        return dict(filter(None, (g.pure_power() for g in self.gens)))
 
     def is_complete_intersection(self) -> bool:
         """True iff the minimal generators have pairwise disjoint supports."""
@@ -384,15 +381,9 @@ class MonomialIdeal:
             raise IdealError("standard form wants an Artinian ideal")
         if not self.is_proper:
             raise IdealError("standard form wants a proper ideal")
-        pure = {}
-        sharp_gens = []
-        for g in self.gens:
-            pp = g.pure_power()
-            if pp:
-                pure[pp[0]] = pp[1]
-            else:
-                sharp_gens.append(g)
+        pure = self.pure_powers()
         a = tuple(pure[i] for i in range(self.n_vars))
+        sharp_gens = [g for g in self.gens if g.pure_power() is None]
         if not sharp_gens:
             zero = MonomialIdeal(self.vars, ())
             return StandardForm(a, zero, Monomial.unit(self.n_vars), zero)
@@ -404,13 +395,9 @@ class MonomialIdeal:
         """Monomials outside the ideal pushed inside by every variable."""
         if not self.is_artinian():
             raise IdealError("socle wants an Artinian ideal")
-        a = [0] * self.n_vars
-        for g in self.gens:
-            pp = g.pure_power()
-            if pp:
-                a[pp[0]] = pp[1]
+        pure = self.pure_powers()
         out = []
-        for exps in product(*(range(ai) for ai in a)):
+        for exps in product(*(range(pure[i]) for i in range(self.n_vars))):
             m = Monomial(exps)
             if self.membership(m):
                 continue

@@ -18,6 +18,7 @@ from liccilab.graphs import (
     suspension,
     t_path_ideal,
 )
+from liccilab import serialize
 from liccilab.monomial import IdealError, Monomial, MonomialIdeal
 
 
@@ -34,6 +35,23 @@ def test_builders():
         build("nonsense", n=3)
     with pytest.raises(IdealError):
         Graph(("a", "b"), frozenset({(0, 0)}))
+
+
+def test_edge_indices_are_validated():
+    # a fractional or boolean vertex index is no vertex; a one-item edge no pair
+    with pytest.raises(IdealError):
+        from_edges(3, [(1, 2.5)])
+    with pytest.raises(IdealError):
+        from_edges(3, [(True, 2)])
+    with pytest.raises(IdealError):
+        Graph(("a", "b"), frozenset({(False, 1)}))
+    with pytest.raises(IdealError):
+        build("edge_list", n=3, edges=[[1]])
+    with pytest.raises(IdealError):
+        build("edge_list", n=3, edges=[(1, 2, 3)])
+    # an integral float in a document is still read as an index
+    doc = {"n": 3, "edges": [[1, 2.0]]}
+    assert serialize.graph_from_doc(doc) == from_edges(3, [(1, 2)])
 
 
 def test_classify_small_graphs():

@@ -1,6 +1,8 @@
 """Licci machinery: the standard-form iteration, the obstruction, the
 classifier cascade and the height bound."""
 
+import random
+
 import pytest
 
 from liccilab.betti import betti_table, invariants
@@ -16,6 +18,7 @@ from liccilab.licci import (
     licci_bound_check,
     obstruction_not_licci,
 )
+from liccilab.exact import RATIONALS
 from liccilab.graphs import complementary_edge_ideal
 from liccilab.monomial import IdealError, Monomial, MonomialIdeal
 from liccilab.polarization import depolarize_suspension
@@ -142,10 +145,11 @@ def test_obstruction_rejects_non_cm():
 
 
 def test_classify_rejects_zero_and_unit():
-    with pytest.raises(IdealError):
-        classify(MonomialIdeal(["x"], ()))
-    with pytest.raises(IdealError):
-        classify(MonomialIdeal(["x"], [(0,)]))
+    for decide in (classify, audit_rules):
+        with pytest.raises(IdealError):
+            decide(MonomialIdeal(["x"], ()))
+        with pytest.raises(IdealError):
+            decide(MonomialIdeal(["x"], [(0,)]))
 
 
 def test_classify_cycle_certificates():
@@ -245,3 +249,54 @@ def test_tree_paths():
         assert classify(t_path_ideal(path(t), t)).status == LICCI
         assert classify(t_path_ideal(path(2 * t), t)).status == LICCI
     assert classify(t_path_ideal(path(5), 3)).status == NOT_LICCI
+
+
+# -- one rule table behind classify and audit_rules ---------------------------
+
+
+def _drift_corpus():
+    from liccilab import harness as h
+
+    rng = random.Random(h.DEFAULT_SEED + 4)
+    out = [h.random_squarefree_ideal(rng) for _ in range(100)]
+    out += [h.random_artinian_ideal(rng) for _ in range(60)]
+    out += [h.random_monomial_ideal(rng) for _ in range(60)]
+    out += [t_path_ideal(cycle(n), t) for t, n in h.cycle_grid()]
+    out += [depolarize_suspension(g, t)
+            for _, g in h.curated_suspension_graphs() for t in (2, 3)]
+    # the bi-CM instances of T12, which reach R7
+    for k, n in ((2, 3), (3, 3), (3, 5), (4, 6)):
+        out.append(MonomialIdeal([f"x{i + 1}" for i in range(n)],
+                                 [Monomial.variable(n, i) for i in range(k)]))
+    out += [complementary_edge_ideal(complete(n)) for n in (4, 5, 6)]
+    rng = random.Random(h.DEFAULT_SEED + 12)
+    out += [h.random_squarefree_ideal(rng, max_n=6) for _ in range(150)]
+    return out
+
+
+def test_classify_is_the_first_audited_rule():
+    fired = set()
+    for I in _drift_corpus():
+        verdict = classify(I)
+        audit = audit_rules(I)
+        fired |= set(audit)
+        if not audit:
+            assert verdict.status == UNKNOWN and verdict.fired_rule == "", I
+            continue
+        first = next(iter(audit))
+        assert (verdict.status, verdict.fired_rule) == (audit[first], first), I
+    assert fired == {f"R{i}" for i in range(1, 8)}
+
+
+def test_artinian_invariants_match_betti_table():
+    from liccilab import harness as h
+    from liccilab.licci import _Facts
+    from liccilab.polarization import polarize
+
+    rng = random.Random(h.DEFAULT_SEED + 17)
+    ideals = [h.random_artinian_ideal(rng) for _ in range(60)]
+    ideals += [dep for _, g in h.curated_suspension_graphs() for t in (2, 3)
+               if polarize(dep := depolarize_suspension(g, t)).n_vars <= 12]
+    for I in ideals:
+        assert I.is_artinian()
+        assert _Facts(I, RATIONALS).inv == invariants(betti_table(I), I), I
