@@ -93,6 +93,12 @@ def star(k: int, isolated: int = 0) -> Graph:
 
 def from_edges(n: int, edges, labels=None) -> Graph:
     """Graph from 1-based edge pairs, matching the serialized form."""
+    if type(n) is not int or n < 0:
+        raise IdealError(f"vertex count {n!r} is not a natural number")
+    try:
+        edges = list(edges)
+    except TypeError as exc:
+        raise IdealError(f"edges {edges!r} are not a list of pairs") from exc
     labels = tuple(labels) if labels else _default_labels(n)
     if len(labels) != n:
         raise IdealError("label count does not match n")

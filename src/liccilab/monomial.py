@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from operator import le, neg
 
 DEFAULT_MAX_VARS = 24
 ENV_MAX_VARS = "LICCILAB_MAX_VARS"
@@ -68,7 +68,7 @@ class Monomial(tuple):
 
     @property
     def is_unit(self) -> bool:
-        return all(e == 0 for e in self)
+        return not any(self)
 
     @property
     def is_squarefree(self) -> bool:
@@ -87,7 +87,7 @@ class Monomial(tuple):
         return tuple(i for i, e in enumerate(self) if e)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(le, self, other))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a if a >= b else b for a, b in zip(self, other)))
@@ -149,7 +149,23 @@ def minimalize(gens, n: int) -> tuple:
 
 def _display_key(m: Monomial):
     # degree first, then descending lex on exponents, so x1^2 prints before x2^2
-    return (m.degree, tuple(-e for e in m))
+    return (sum(m), tuple(map(neg, m)))
+
+
+def _meet(a: tuple, b: tuple, n: int) -> tuple:
+    """Minimal generators of (a) ∩ (b), for generator tuples a and b.
+
+    A generator of one side that the other ideal contains lies in the
+    intersection, and its lcms with the other side are multiples of it, so
+    it goes in as it is; only the remaining pairs get an lcm.
+    """
+    out, rest_a, rest_b = [], [], []
+    for g in a:
+        (out if any(h.divides(g) for h in b) else rest_a).append(g)
+    for h in b:
+        (out if any(g.divides(h) for g in a) else rest_b).append(h)
+    out += [g.lcm(h) for g in rest_a for h in rest_b]
+    return minimalize(out, n)
 
 
 class MonomialIdeal:
@@ -289,24 +305,26 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ambient(other)
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal(self.vars, ())
-        return MonomialIdeal(
-            self.vars, tuple(a.lcm(b) for a in self.gens for b in other.gens)
-        )
+        return MonomialIdeal(self.vars, _meet(self.gens, other.gens, self.n_vars))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """The ideal quotient self : other."""
+        """The ideal quotient self : other.
+
+        self : other is the intersection over the generators g of other of
+        the ideals generated by m / gcd(m, g), m running over self's
+        generators.  The intersection is folded over plain generator
+        tuples with :func:`_meet`, so one ideal is built at the end and
+        none in between.
+        """
         self._same_ambient(other)
         if other.is_zero:
             raise IdealError("colon by the zero ideal")
         if self.is_zero:
             return self
-        parts = [
-            MonomialIdeal(self.vars, tuple(m.quotient(g) for m in self.gens))
-            for g in other.gens
-        ]
-        return reduce(lambda a, b: a.intersect(b), parts)
+        parts = (tuple(m.quotient(g) for m in self.gens) for g in other.gens)
+        return MonomialIdeal(
+            self.vars, reduce(lambda a, b: _meet(a, b, self.n_vars), parts)
+        )
 
     # -- invariants --------------------------------------------------------
 
@@ -392,21 +410,48 @@ class MonomialIdeal:
         return StandardForm(a, MonomialIdeal(self.vars, sharp_gens), b, k)
 
     def socle_monomials(self) -> tuple:
-        """Monomials outside the ideal pushed inside by every variable."""
+        """Monomials outside the ideal pushed inside by every variable.
+
+        Read off the irreducible decomposition, not a walk over the box of
+        exponents below the pure powers: an Artinian monomial ideal is the
+        irredundant intersection of the irreducible ideals
+        m^b = (x_1^{b_1}, ..., x_n^{b_n}), and its socle monomials are the
+        x^{b - 1} (Miller & Sturmfels, *Combinatorial Commutative Algebra*,
+        ch. 5).  The corners b start from the pure powers a; adding a
+        generator g keeps every corner with g_i >= b_i for some i (g lies
+        in m^b already) and splits every other one into the corners with
+        b_i lowered to g_i, one per i in supp g.  After each generator
+        only the componentwise-maximal corners are kept, so the work grows
+        with corners times generators, not with the box prod a_i.
+        """
         if not self.is_artinian():
             raise IdealError("socle wants an Artinian ideal")
         pure = self.pure_powers()
-        out = []
-        for exps in product(*(range(pure[i]) for i in range(self.n_vars))):
-            m = Monomial(exps)
-            if self.membership(m):
+        corners = [tuple(pure[i] for i in range(self.n_vars))]
+        for g in self.gens:
+            supp = g.support
+            if len(supp) == 1:
                 continue
-            if all(
-                self.membership(m.times(Monomial.variable(self.n_vars, i)))
-                for i in range(self.n_vars)
-            ):
-                out.append(m)
-        return tuple(sorted(out, key=_display_key))
+            grown = set()
+            for b in corners:
+                if any(gi >= bi for gi, bi in zip(g, b)):
+                    grown.add(b)
+                    continue
+                for i in supp:
+                    grown.add(b[:i] + (g[i],) + b[i + 1:])
+            corners = _maximal(grown)
+        socle = (Monomial(tuple(e - 1 for e in b)) for b in corners)
+        return tuple(sorted(socle, key=_display_key))
+
+
+def _maximal(corners) -> list:
+    """The componentwise-maximal exponent tuples among ``corners``."""
+    kept: list = []
+    for b in sorted(corners, key=sum, reverse=True):
+        # a tuple can only lie below one of at least its coordinate sum
+        if not any(all(map(le, b, c)) for c in kept):
+            kept.append(b)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,17 @@ def test_edge_indices_are_validated():
         build("edge_list", n=3, edges=[[1]])
     with pytest.raises(IdealError):
         build("edge_list", n=3, edges=[(1, 2, 3)])
+    # a vertex count that is no natural number, an edge list that is no list
+    with pytest.raises(IdealError):
+        build("edge_list", n=3, edges=5)
+    with pytest.raises(IdealError):
+        build("edge_list", n="3", edges=[(1, 2)])
+    with pytest.raises(IdealError):
+        build("edge_list", n=2.5, edges=[(1, 2)])
+    with pytest.raises(IdealError):
+        build("edge_list", n=True, edges=[])
+    with pytest.raises(IdealError):
+        from_edges(-1, [])
     # an integral float in a document is still read as an index
     doc = {"n": 3, "edges": [[1, 2.0]]}
     assert serialize.graph_from_doc(doc) == from_edges(3, [(1, 2)])

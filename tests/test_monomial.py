@@ -309,16 +309,31 @@ def test_ci_height_equals_generator_count():
 # -- socle ---------------------------------------------------------------
 
 
-def brute_socle(I, bound):
-    out = set()
-    n = I.n_vars
-    for e in product(*(range(b + 1) for b in bound)):
-        m = Monomial(e)
-        if I.membership(m):
+def _divides(g, e):
+    return all(x <= y for x, y in zip(g, e))
+
+
+def _box(bound):
+    return product(*(range(b + 1) for b in bound))
+
+
+def _display_sorted(exponents) -> tuple:
+    # degree first, then descending lex on the exponents
+    return tuple(sorted(exponents, key=lambda e: (sum(e), tuple(-x for x in e))))
+
+
+def box_socle(n, gens):
+    """Socle by walking the box below the pure powers, on plain tuples: e is
+    outside (gens) and e + e_i is inside for every i."""
+    a = [min(g[i] for g in gens if g[i] and sum(g) == g[i]) for i in range(n)]
+    inside = lambda e: any(_divides(g, e) for g in gens)
+    out = []
+    for e in _box([x - 1 for x in a]):
+        if inside(e):
             continue
-        if all(I.membership(m.times(Monomial.variable(n, i))) for i in range(n)):
-            out.add(e)
-    return out
+        if all(inside(e[:i] + (e[i] + 1,) + e[i + 1:]) for i in range(n)):
+            out.append(e)
+    return _display_sorted(out)
 
 
 def test_socle_ci():
@@ -329,12 +344,92 @@ def test_socle_ci():
 def test_socle_derived_example():
     I = ideal(XY, (3, 0), (2, 1), (0, 2))
     assert set(map(tuple, I.socle_monomials())) == {(2, 0), (1, 1)}
-    assert set(map(tuple, I.socle_monomials())) == brute_socle(I, (3, 2))
+    assert tuple(map(tuple, I.socle_monomials())) == box_socle(2, I.gens)
 
 
 def test_socle_rejects_non_artinian():
     with pytest.raises(IdealError):
         ideal(XY, (1, 1)).socle_monomials()
+
+
+# -- socle and intersect on a seeded Artinian corpus ---------------------
+
+
+def box_minimal_members(n, member, bound):
+    """The minimal monomials of a monomial ideal, given by membership, among
+    the exponent vectors e <= bound."""
+    out = []
+    for e in _box(bound):
+        if member(e) and not any(
+            e[i] and member(e[:i] + (e[i] - 1,) + e[i + 1:]) for i in range(n)
+        ):
+            out.append(e)
+    return _display_sorted(out)
+
+
+def artinian_corpus(seed=20260811, count=1000):
+    """(n, a, generators) for seeded Artinian ideals in 1..5 variables with
+    pure powers a_i in 1..6: every one-variable ideal, complete
+    intersections, and mixed generators that may be redundant (a multiple
+    of another, or a coordinate at a_i) or sit on the boundary a_i - 1."""
+    rng = random.Random(seed)
+    corpus = [(1, (a,), [(a,)]) for a in range(1, 7)]
+    while len(corpus) < count:
+        n = rng.randint(1, 5)
+        a = tuple(rng.randint(1, 6) for _ in range(n))
+        gens = [tuple(a[i] if j == i else 0 for j in range(n)) for i in range(n)]
+        kind = rng.random()
+        if kind < 0.15 or n == 1:
+            corpus.append((n, a, gens))  # pure powers only
+            continue
+        mixed = []
+        for _ in range(rng.randint(1, 6)):
+            if mixed and rng.random() < 0.2:
+                base = rng.choice(mixed)  # a multiple of another: redundant
+                mixed.append(tuple(min(x + rng.randint(0, 1), a[i])
+                                   for i, x in enumerate(base)))
+                continue
+            e = [0] * n
+            for i in rng.sample(range(n), rng.randint(2, n)):
+                e[i] = rng.choice((1, rng.randint(1, a[i]), max(a[i] - 1, 1), a[i]))
+            mixed.append(tuple(e))
+        rng.shuffle(mixed)
+        corpus.append((n, a, gens + mixed))
+    return corpus
+
+
+def test_socle_matches_box_walk():
+    corpus = artinian_corpus()
+    assert len(corpus) >= 1000
+    kinds = {"one variable": 0, "pure powers only": 0, "mixed": 0}
+    for n, a, gens in corpus:
+        I = MonomialIdeal([f"x{i}" for i in range(n)], gens)
+        got = I.socle_monomials()
+        assert all(type(m) is Monomial for m in got)
+        assert tuple(map(tuple, got)) == box_socle(n, gens), gens
+        if n == 1:
+            kinds["one variable"] += 1
+        elif len(I.gens) == n:
+            kinds["pure powers only"] += 1
+        else:
+            kinds["mixed"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_intersect_matches_box_membership():
+    rng = random.Random(907)
+    for n, a, gens in artinian_corpus(seed=907):
+        other = [tuple(rng.randint(0, 3) for _ in range(n))
+                 for _ in range(rng.randint(0, 4))]
+        other = [g for g in other if any(g)]
+        vs = [f"x{i}" for i in range(n)]
+        I, J = MonomialIdeal(vs, gens), MonomialIdeal(vs, other)
+        bound = [max(g[i] for g in gens + other) for i in range(n)]
+        both = lambda e: (any(_divides(g, e) for g in gens)
+                          and any(_divides(g, e) for g in other))
+        want = box_minimal_members(n, both, bound)
+        assert tuple(map(tuple, I.intersect(J).gens)) == want, (gens, other)
+        assert tuple(map(tuple, J.intersect(I).gens)) == want, (gens, other)
 
 
 # -- structural ---------------------------------------------------------
