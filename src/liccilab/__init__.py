@@ -7,7 +7,7 @@ No floating point anywhere: ranks are computed by fraction-free integer
 elimination over the rationals, or modulo a prime.
 """
 
-from .exact import FieldSpec, GF2, RATIONALS, SparseMatrix, prime_field, rank
+from .exact import FieldSpec, GF2, RATIONALS, prime_field
 from .monomial import (
     IdealError,
     Monomial,
@@ -84,7 +84,6 @@ __all__ = [
     "NOT_LICCI",
     "RATIONALS",
     "SimplicialComplex",
-    "SparseMatrix",
     "StandardForm",
     "UNKNOWN",
     "alexander_dual",
@@ -111,7 +110,6 @@ __all__ = [
     "path",
     "polarize",
     "prime_field",
-    "rank",
     "reduced_homology_dims",
     "reg_artinian_socle",
     "stanley_reisner",

@@ -22,10 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class MatrixFormatError(ValueError):
-    """Raised for malformed sparse matrices (bad index, duplicate, zero)."""
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -81,50 +77,6 @@ GF2 = FieldSpec(2)
 
 def prime_field(p: int) -> FieldSpec:
     return FieldSpec(p)
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Integer matrix stored as (row, col, value) triples, no stored zeros."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise MatrixFormatError(f"entry ({r},{c}) out of range")
-            if v == 0:
-                raise MatrixFormatError("stored zero entry")
-            if (r, c) in seen:
-                raise MatrixFormatError(f"duplicate position ({r},{c})")
-            seen.add((r, c))
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = [
-            (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
-        ]
-        return cls(rows, cols, tuple(entries))
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries))
-
-    def to_rows(self) -> dict:
-        out: dict = {}
-        for r, c, v in self.entries:
-            out.setdefault(r, {})[c] = v
-        return out
-
-
-def rank(matrix: SparseMatrix, field: FieldSpec = RATIONALS) -> int:
-    """Rank of ``matrix`` over ``field``.  The empty matrix has rank 0."""
-    return rank_rows(matrix.to_rows(), field)
 
 
 _DENSE_LIMIT = 4096

@@ -233,9 +233,6 @@ class MonomialIdeal:
         if self.n_vars != other.n_vars:
             raise IdealError("ideals live in different ambients")
 
-    def relabel(self, variables) -> "MonomialIdeal":
-        return MonomialIdeal(variables, self.gens)
-
     def permute_vars(self, perm) -> "MonomialIdeal":
         """Image under the substitution x_i -> x_perm[i] (perm a bijection)."""
         n = self.n_vars
@@ -283,11 +280,6 @@ class MonomialIdeal:
 
     def __add__(self, other):
         return self.sum(other)
-
-    def multiply(self, m: Monomial) -> "MonomialIdeal":
-        if len(m) != self.n_vars:
-            raise IdealError("monomial in the wrong ambient")
-        return MonomialIdeal(self.vars, tuple(g.times(m) for g in self.gens))
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ambient(other)

@@ -14,8 +14,8 @@ import json
 from .betti import BettiTable
 from .exact import FieldSpec, RATIONALS
 from .graphs import Graph, from_edges
-from .licci import HUStep, LicciVerdict, RuleFiring
-from .linkage import LinkCheck, LinkReport
+from .licci import LicciVerdict
+from .linkage import LinkReport
 from .monomial import IdealError, Monomial, MonomialIdeal
 
 
@@ -56,10 +56,6 @@ def parse_monomial_text(text: str, names) -> Monomial:
             raise IdealError(f"bad exponent in {factor!r}")
         e[pos[var]] += power
     return Monomial(e)
-
-
-def monomial_text(m: Monomial, names) -> str:
-    return m.to_text(names)
 
 
 # -- ideals ---------------------------------------------------------------
@@ -103,14 +99,6 @@ def ideal_from_doc(doc: dict) -> MonomialIdeal:
 # -- graphs ---------------------------------------------------------------
 
 
-def graph_to_doc(g: Graph) -> dict:
-    return {
-        "n": g.n,
-        "labels": list(g.labels),
-        "edges": [[u + 1, v + 1] for u, v in sorted(g.edges)],
-    }
-
-
 def graph_from_doc(doc: dict) -> Graph:
     try:
         n = _integer(doc["n"])
@@ -150,11 +138,6 @@ def table_to_doc(table: BettiTable) -> dict:
     }
 
 
-def table_from_doc(doc: dict) -> BettiTable:
-    entries = {(int(i), int(j)): int(v) for i, j, v in doc["entries"]}
-    return BettiTable(int(doc["n_vars"]), field_from_doc(doc["field"]), entries)
-
-
 # -- verdicts and reports ---------------------------------------------------
 
 
@@ -174,19 +157,6 @@ def verdict_to_doc(verdict: LicciVerdict) -> dict:
     return doc
 
 
-def verdict_from_doc(doc: dict) -> LicciVerdict:
-    rules = tuple(
-        RuleFiring(r["rule"], r["citation"], r["witness"]) for r in doc["rules"]
-    )
-    trace = None
-    if "trace" in doc:
-        trace = tuple(
-            HUStep(int(s["k"]), ideal_from_doc(s["ideal"]), s["note"])
-            for s in doc["trace"]
-        )
-    return LicciVerdict(doc["status"], rules, trace)
-
-
 def report_to_doc(report: LinkReport) -> dict:
     return {
         "title": report.title,
@@ -196,13 +166,3 @@ def report_to_doc(report: LinkReport) -> dict:
             for c in report.checks
         ],
     }
-
-
-def report_from_doc(doc: dict) -> LinkReport:
-    return LinkReport(
-        doc["title"],
-        tuple(
-            LinkCheck(c["check"], bool(c["passed"]), c.get("witness", ""))
-            for c in doc["checks"]
-        ),
-    )

@@ -74,13 +74,6 @@ class SimplicialComplex:
             return None
         return max(f.bit_count() for f in self.faces) - 1
 
-    def induced(self, vertex_mask: int) -> "SimplicialComplex":
-        return SimplicialComplex(
-            self.vertices,
-            (f for f in self.faces if f & ~vertex_mask == 0),
-            closed=True,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented

@@ -15,7 +15,7 @@ from liccilab.exact import GF2, RATIONALS
 from liccilab.graphs import complete, cycle, edge_ideal, t_path_ideal
 from liccilab.harness import cycle_formulas, random_monomial_ideal
 from liccilab.monomial import IdealError, Monomial, MonomialIdeal
-from liccilab.polarization import depolarize_suspension
+from liccilab.polarization import depolarize_suspension, polarize
 from liccilab.squarefree import alexander_dual
 
 
@@ -82,6 +82,8 @@ def test_oracle_equivalence_random():
         I = random_monomial_ideal(rng)
         for f in (RATIONALS, GF2):
             assert betti_table(I, f).entries == taylor_oracle(I, f).entries
+            # polarization invariance through the Taylor engine alone
+            assert taylor_oracle(polarize(I), f).entries == taylor_oracle(I, f).entries
 
 
 def test_taylor_generator_cap():

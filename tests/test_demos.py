@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README's library tour, runs to completion
+against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,15 @@ def test_demo_runs(demo):
                           text=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_public_surface_and_readme_tour():
+    import liccilab
+
+    namespace = {}
+    exec("from liccilab import *", namespace)
+    missing = [name for name in liccilab.__all__ if name not in namespace]
+    assert not missing
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(tour, {})

@@ -217,7 +217,7 @@ def test_audit_rules_never_contradict():
         depolarize_suspension(complete(3), 2),
         t_path_ideal(cycle(5), 2),
         complementary_edge_ideal(complete(4)),
-    ]
+    ] + _drift_corpus()
     for I in ideals:
         statuses = set(audit_rules(I).values())
         assert not (LICCI in statuses and NOT_LICCI in statuses), I

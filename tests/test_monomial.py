@@ -159,11 +159,6 @@ def test_sum_and_power():
     assert sq == ideal(XY, (2, 0), (1, 1), (0, 2))
 
 
-def test_multiply_by_monomial():
-    I = ideal(XY, (1, 0), (0, 1))
-    assert I.multiply(Monomial((1, 1))) == ideal(XY, (2, 1), (1, 2))
-
-
 def test_containment():
     assert ideal(XY, (2, 0)).containment(ideal(XY, (1, 0)))
     assert not ideal(XY, (1, 0)).containment(ideal(XY, (2, 0)))

@@ -1,4 +1,4 @@
-"""Document round trips and the command line surface."""
+"""Document forms, their round trips, and the command line surface."""
 
 import json
 import os
@@ -41,7 +41,9 @@ def test_ideal_round_trips():
 
 def test_graph_round_trip():
     g = from_edges(4, [(1, 2), (3, 4)])
-    assert serialize.graph_from_doc(serialize.graph_to_doc(g)) == g
+    doc = {"n": 4, "labels": ["x1", "x2", "x3", "x4"], "edges": [[1, 2], [3, 4]]}
+    assert serialize.graph_from_doc(doc) == g
+    assert serialize.graph_from_doc(json.loads(serialize.dumps(doc))) == g
 
 
 def test_field_round_trip():
@@ -54,26 +56,65 @@ def test_field_round_trip():
         serialize.field_from_doc("float")
 
 
+def assert_document(doc, expected):
+    assert doc == expected
+    assert json.loads(serialize.dumps(doc)) == expected
+
+
 def test_table_round_trip():
     t = betti_table(MonomialIdeal(["x", "y"], [(2, 0), (1, 1)]))
-    assert serialize.table_from_doc(serialize.table_to_doc(t)) == t
+    assert_document(serialize.table_to_doc(t), {
+        "n_vars": 2,
+        "field": "q",
+        "entries": [[0, 0, 1], [1, 2, 2], [2, 3, 1]],
+    })
 
 
 def test_verdict_round_trip():
-    for v in (
-        hu_decide(MonomialIdeal(["x", "y"], [(2, 0), (0, 2)])),
-        classify(MonomialIdeal(["x", "y"], [(1, 1)])),
-    ):
-        doc = serialize.verdict_to_doc(v)
-        again = serialize.verdict_from_doc(json.loads(serialize.dumps(doc)))
-        assert again == v
+    # a traced R6 verdict and an untraced R2 one
+    traced = hu_decide(MonomialIdeal(["x", "y"], [(2, 0), (0, 2)]))
+    assert_document(serialize.verdict_to_doc(traced), {
+        "status": "Licci",
+        "rules": [{
+            "rule": "R6",
+            "citation": "Huneke-Ulrich standard-form iteration decides licci "
+                        "for Artinian monomial ideals",
+            "witness": "terminated at step 1: complete intersection",
+        }],
+        "trace": [{
+            "k": 1,
+            "ideal": {"vars": ["x", "y"], "gens": [[0, 0]]},
+            "note": "complete intersection",
+        }],
+    })
+    untraced = classify(MonomialIdeal(["x", "y"], [(1, 1)]))
+    assert_document(serialize.verdict_to_doc(untraced), {
+        "status": "Licci",
+        "rules": [{
+            "rule": "R2",
+            "citation": "principal ideals and complete intersections are licci "
+                        "(height-one CM ideals in a UFD are principal)",
+            "witness": "principal",
+        }],
+    })
 
 
 def test_report_round_trip():
     I = MonomialIdeal(["x"], [(1,)])
     rep = verify_direct_link(I, I, I.gens)
-    doc = serialize.report_to_doc(rep)
-    assert serialize.report_from_doc(doc) == rep
+    assert_document(serialize.report_to_doc(rep), {
+        "title": "direct link",
+        "passed": False,
+        "checks": [
+            {"check": "regular_sequence", "passed": True, "witness": ""},
+            {"check": "contained_in_both", "passed": True, "witness": ""},
+            {"check": "heights_match", "passed": True, "witness": "heights (1, 1, 1)"},
+            {"check": "colon_by_second_gives_first", "passed": False,
+             "witness": "MonomialIdeal<x>(1)"},
+            {"check": "colon_by_first_gives_second", "passed": False,
+             "witness": "MonomialIdeal<x>(1)"},
+        ],
+    })
 
 
 def test_serialization_deterministic():
