@@ -6,10 +6,12 @@ ideal and runs Hochster's formula: for each candidate vertex subset W of
 the polarized ambient, beta_{i,|W|} picks up the reduced homology of the
 induced Stanley-Reisner subcomplex in degree |W| - i - 1.  Only subsets
 that are unions of generator supports can contribute (any other W has a
-cone vertex), which keeps the enumeration small.  The homology of each
-induced complex comes from ``homology_dims_of_faces``, which first
-quotients it by the closed star of one vertex: the star is a cone, so
-the relative homology equals the reduced homology over every field.
+cone vertex), which keeps the enumeration small.  The complex is held
+as one face bitmap (see ``squarefree``), so each Delta_W, the vertex
+lying in most of its faces, and its faces outside that vertex's closed
+star come from a few big-integer operations, with no scan of the face
+list per W.  The star is a cone, so the homology relative to it equals
+the reduced homology over every field.
 
 ``taylor_oracle`` tensors the Taylor complex on the generator subsets
 with the base field and reads Tor off blockwise by multidegree: the
@@ -33,7 +35,7 @@ from functools import lru_cache
 from .exact import FieldSpec, RATIONALS
 from .monomial import IdealError, Monomial, MonomialIdeal
 from .polarization import polarize
-from .squarefree import cell_homology_dims, faces_avoiding, homology_dims_of_faces
+from .squarefree import _face_bitmap, _star_cells, _vertex_masks, cell_homology_dims
 
 
 class BettiTable:
@@ -126,20 +128,18 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> BettiTabl
 def _betti_table_cached(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     _check_table_input(ideal, "betti_table")
     sq = polarize(ideal)
-    n = sq.n_vars
+    masks = _vertex_masks(sq.n_vars)
     supports = [g.support_mask for g in sq.gens]
-    all_faces = faces_avoiding(n, supports)
+    faces = _face_bitmap(supports, masks)
     entries: dict = {}
     for w in _support_unions(supports):
-        sub = [f for f in all_faces if f & ~w == 0]
-        dims = homology_dims_of_faces(sub, field)
+        # the homology at cell size s is H~_{s-1}(Delta_W), which Hochster's
+        # formula puts in beta_{|W|-s, |W|}
         j = w.bit_count()
-        for d, h in enumerate(dims):
+        for s, h in cell_homology_dims(_star_cells(faces, w, masks), field).items():
             if h:
-                i = j - d
-                if i >= 0:
-                    key = (i, j)
-                    entries[key] = entries.get(key, 0) + h
+                key = (j - s, j)
+                entries[key] = entries.get(key, 0) + h
     return BettiTable(ideal.n_vars, field, entries)
 
 

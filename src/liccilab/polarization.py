@@ -11,8 +11,9 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Standard polarization x_i^e -> x_{i,0} x_{i,1} ... x_{i,e-1}.
 
     Every original variable keeps at least one column, so a squarefree
-    ideal polarizes to itself (as exponent vectors).  Column j = 0 reuses
-    the original variable name; higher columns are named ``<base>_j``.
+    ideal polarizes to itself, and is returned as it is.  Column j = 0
+    reuses the original variable name; higher columns are named
+    ``<base>_j``.
     """
     widths = [1] * ideal.n_vars
     for g in ideal.gens:
@@ -24,6 +25,8 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
         raise IdealError(
             f"polarization needs {total} variables, exceeding the cap {max_vars()}"
         )
+    if total == ideal.n_vars:
+        return ideal
     names = []
     offset = []
     for i, w in enumerate(widths):

@@ -1,19 +1,26 @@
 """Squarefree machinery: Stanley-Reisner complexes, reduced homology,
 minimal primes and Alexander duality.
 
-Faces are stored as bitmasks over the vertex set, so induced subcomplexes
-are mask filters.  The void complex (no faces at all) and the irrelevant
-complex {emptyset} are distinct values with the usual homology
-conventions: the void complex has all reduced homology zero, while the
-irrelevant complex has a one-dimensional H~_{-1}.
+Faces are stored as bitmasks over the vertex set.  The faces of a
+complex on n vertices can also be held as one 2^n-bit integer, its face
+bitmap, with bit m set iff the mask m is a face; ``faces_avoiding`` and
+the Hochster engine work on it.  With the vertex masks M[i] (bit m set
+iff vertex i lies in m), an induced subcomplex Delta_W is the face
+bitmap with the bits of every M[i], i outside W, cleared, and the number
+of faces holding a vertex is one popcount.  The void complex (no faces at
+all) and the irrelevant complex {emptyset} are distinct values with the
+usual homology conventions: the void complex has all reduced homology
+zero, while the irrelevant complex has a one-dimensional H~_{-1}.
 
 Reduced homology is computed relative to the closed star of one vertex
-(see ``homology_dims_of_faces``): a cone is acyclic, so the quotient
-loses nothing over any field, and it leaves far fewer cells to rank.
+(see ``homology_dims_of_faces`` for face lists and ``_star_cells`` for
+face bitmaps): a cone is acyclic, so the quotient loses nothing over any
+field, and it leaves far fewer cells to rank.
 """
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from operator import or_
 
@@ -93,25 +100,88 @@ def stanley_reisner(ideal: MonomialIdeal) -> SimplicialComplex:
     for g in ideal.gens:
         if not g.is_squarefree:
             raise IdealError(f"non-squarefree generator {g!r}")
-    n = ideal.n_vars
-    if n > _FACE_ENUM_LIMIT:
-        raise IdealError(f"{n} vertices exceeds the face enumeration limit")
     supports = [g.support_mask for g in ideal.gens]
     return SimplicialComplex(
-        ideal.vars, faces_avoiding(n, supports), closed=True
+        ideal.vars, faces_avoiding(ideal.n_vars, supports), closed=True
     )
 
 
 def faces_avoiding(n: int, supports) -> list:
-    """All subsets of an n-set containing none of the given support masks."""
-    out = []
-    for m in range(1 << n):
-        for s in supports:
-            if m & s == s:
-                break
-        else:
-            out.append(m)
-    return out
+    """All subsets of an n-set containing none of the given support masks,
+    in ascending order."""
+    return _bits(_face_bitmap(supports, _vertex_masks(n)))
+
+
+def _vertex_masks(n: int) -> list:
+    """M[i] for i < n: the 2^n-bit integer with bit m set iff bit i is set
+    in m, that is 2^i zeros then 2^i ones, repeated.
+
+    Refuses n over the face enumeration limit before building anything.
+    """
+    if n > _FACE_ENUM_LIMIT:
+        raise IdealError(
+            f"{n} vertices (variables after polarization) exceed the face "
+            f"enumeration limit {_FACE_ENUM_LIMIT}: the face bitmap needs {n} "
+            f"vertex masks of 2^{n} bits, {n * (1 << n) // 8} bytes"
+        )
+    size = 1 << n
+    masks = []
+    for i in range(n):
+        width = 1 << i
+        m = ((1 << width) - 1) << width
+        period = width << 1
+        while period < size:
+            m |= m << period
+            period <<= 1
+        masks.append(m)
+    return masks
+
+
+def _face_bitmap(supports, masks) -> int:
+    """Bit m set iff the mask m < 2^n contains none of the supports, where
+    n = len(masks): the full bitmap less, for each support s, the masks
+    holding all of s (the AND of M[i] over i in s)."""
+    full = (1 << (1 << len(masks))) - 1
+    nonfaces = 0
+    for s in supports:
+        holding = full
+        for i in range(s.bit_length()):
+            if s >> i & 1:
+                holding &= masks[i]
+        nonfaces |= holding
+    return full ^ nonfaces
+
+
+_ONE = re.compile("1")
+
+
+def _bits(x: int) -> list:
+    """Positions of the set bits of x, lowest first."""
+    return [m.start() for m in _ONE.finditer(bin(x)[:1:-1])]
+
+
+def _star_cells(faces: int, w: int, masks) -> list:
+    """The faces of Delta_W outside the closed star of one vertex, ascending.
+
+    ``faces`` is the face bitmap of Delta and ``masks`` its vertex masks.
+    Delta_W keeps the faces avoiding every vertex outside W.  The star
+    vertex v is the vertex of W lying in the most faces of Delta_W, lowest
+    index on ties, and the cells are the F with v not in F and F + v not a
+    face (bit F + 2^v clear), the cells ``homology_dims_of_faces`` keeps.
+    Without a vertex of W, the cells are Delta_W itself.
+    """
+    outside = 0
+    for i, m in enumerate(masks):
+        if not w >> i & 1:
+            outside |= m
+    sub = faces ^ (faces & outside)
+    if w:
+        v = max(
+            (i for i in range(len(masks)) if w >> i & 1),
+            key=lambda i: (sub & masks[i]).bit_count(),
+        )
+        sub ^= sub & (masks[v] | sub >> (1 << v))
+    return _bits(sub)
 
 
 def homology_dims_of_faces(faces, field: FieldSpec = RATIONALS) -> tuple:

@@ -1,6 +1,7 @@
 """Betti tables: both engines against closed forms and each other."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -91,6 +92,15 @@ def test_taylor_generator_cap():
     I = MonomialIdeal(vs, [Monomial.variable(15, i) for i in range(15)])
     with pytest.raises(IdealError):
         taylor_oracle(I)
+
+
+def test_face_enumeration_cap_refuses_at_once():
+    # x^12, y^11 polarizes to 23 variables: 23 face masks of 2^23 bits
+    I = MonomialIdeal(["x", "y"], [(12, 0), (0, 11)])
+    start = time.perf_counter()
+    with pytest.raises(IdealError, match=r"^23 vertices .* limit 22: .* 24117248 bytes$"):
+        betti_table(I)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rejects_zero_and_unit():

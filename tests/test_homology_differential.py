@@ -1,9 +1,11 @@
 """The star-quotient homology core against an unreduced reference.
 
-``homology_dims_of_faces`` quotients every complex by the closed star of
-one vertex before it ranks anything.  The reference below ranks the full
-augmented boundary matrices instead, and enumerates every face list by
-brute force, so a bug in the quotient cannot agree with itself.
+``homology_dims_of_faces`` and the Hochster loop of ``betti_table``
+quotient every complex by the closed star of one vertex before they rank
+anything, and ``betti_table`` reads each Delta_W off a face bitmap.  The
+reference below ranks the full augmented boundary matrices instead, and
+enumerates every face list by brute force, so a bug in the quotient or in
+the bitmaps cannot agree with itself; only ``rank_rows`` is shared.
 """
 
 import random
@@ -17,6 +19,7 @@ from liccilab.harness import curated_suspension_graphs
 from liccilab.monomial import MonomialIdeal
 from liccilab.squarefree import (
     SimplicialComplex,
+    faces_avoiding,
     homology_dims_of_faces,
     reduced_homology_dims,
 )
@@ -116,6 +119,60 @@ def test_seeded_random_squarefree_corpus():
     for n, supports in seeded_corpus():
         for w, faces in induced_complexes(supports):
             assert_agrees(faces, f"n={n} supports={supports} W={w:b}")
+
+
+def hochster_reference(supports, field):
+    """Betti entries of S/I by Hochster's formula over brute-force Delta_W:
+    the homology at face size s, H~_{s-1}(Delta_W), goes to beta_{|W|-s,|W|}."""
+    entries = {}
+    for w, faces in induced_complexes(supports):
+        j = bin(w).count("1")
+        for s, h in enumerate(unreduced_dims(faces, field)):
+            if h:
+                entries[(j - s, j)] = entries.get((j - s, j), 0) + h
+    return entries
+
+
+def hochster_corpus():
+    for t in (2, 3):
+        for name, g in curated_suspension_graphs():
+            ideal = t_path_ideal(suspension(g, t), t)
+            if ideal.n_vars <= 12:
+                yield f"{name} t={t}", ideal
+    for n, supports in seeded_corpus():
+        yield f"n={n} supports={supports}", ideal_of(n, supports)
+
+
+def test_betti_table_matches_brute_force_hochster():
+    checked = 0
+    for label, ideal in hochster_corpus():
+        supports = [gen.support_mask for gen in ideal.gens]
+        for field in FIELDS:
+            expected = hochster_reference(supports, field)
+            assert betti_table(ideal, field).entries == expected, (label, str(field))
+        checked += 1
+    assert checked > 100
+
+
+def brute_force_faces(n, supports):
+    return [m for m in range(1 << n) if not any(m & s == s for s in supports)]
+
+
+def test_faces_avoiding_matches_submask_filter():
+    for n, supports in seeded_corpus():
+        assert faces_avoiding(n, supports) == brute_force_faces(n, supports)
+    for n in (0, 1, 4, 7):
+        # no supports: every subset is a face
+        assert faces_avoiding(n, []) == list(range(1 << n))
+        # the support of all variables removes only the full set
+        full = (1 << n) - 1
+        assert faces_avoiding(n, [full]) == list(range(full))
+    for n in (1, 4, 7):
+        for v in range(n):
+            # a one-variable support removes every set holding that vertex
+            assert faces_avoiding(n, [1 << v]) == [
+                m for m in range(1 << n) if not m >> v & 1
+            ]
 
 
 def test_seeded_corpus_hochster_matches_taylor():

@@ -17,7 +17,12 @@ def test_polarize_pure_power():
 
 def test_polarize_squarefree_fixed_point():
     I = MonomialIdeal(["x", "y", "z"], [(1, 1, 0), (0, 1, 1)])
-    assert polarize(I) == I
+    assert polarize(I) is I
+    # one exponent above 1 still rebuilds the ideal with a new column
+    J = MonomialIdeal(["x", "y", "z"], [(2, 1, 0), (0, 1, 1)])
+    P = polarize(J)
+    assert P is not J
+    assert P == MonomialIdeal(["x", "x_1", "y", "z"], [(1, 1, 1, 0), (0, 0, 1, 1)])
 
 
 def test_polarize_respects_cap(monkeypatch):

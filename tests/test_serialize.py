@@ -251,10 +251,11 @@ C5_DOC = {"vars": ["x1", "x2", "x3", "x4", "x5"],
         (["construct", "edge", "--kind", "edge_list", "--edges", "[[1,2]]"], None),
         (["construct", "edge", "--kind", "edge_list", "--n", "3", "--edges", "abc"], None),
         (["construct", "edge", "--kind", "edge_list", "--n", "3", "--edges", "[[1]]"], None),
+        (["betti", "--ideal", "{doc}"], {"vars": ["x", "y"], "gens": [[12, 0], [0, 11]]}),
     ],
     ids=["field-fp4", "field-fp-abc", "star-without-k", "exponent-not-integer",
          "exponent-fractional", "vertex-fractional", "edges-without-n",
-         "edges-not-json", "edges-not-pairs"],
+         "edges-not-json", "edges-not-pairs", "polarization-over-face-limit"],
 )
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, argv, doc):
     path = tmp_path / "ideal.json"

@@ -12,6 +12,7 @@ from liccilab.monomial import IdealError, Monomial, MonomialIdeal
 from liccilab.squarefree import (
     SimplicialComplex,
     alexander_dual,
+    faces_avoiding,
     minimal_primes,
     reduced_homology_dims,
     stanley_reisner,
@@ -78,6 +79,14 @@ def test_stanley_reisner_c5_is_independence_complex():
 def test_stanley_reisner_rejects_non_squarefree():
     with pytest.raises(IdealError):
         stanley_reisner(MonomialIdeal(["x", "y"], [(2, 0)]))
+
+
+def test_face_enumeration_cap_refuses_at_once():
+    vs = [f"x{i}" for i in range(23)]
+    with pytest.raises(IdealError, match="face enumeration limit 22"):
+        stanley_reisner(sf_ideal(vs, (0, 1)))
+    with pytest.raises(IdealError, match="face enumeration limit 22"):
+        faces_avoiding(23, [])
 
 
 def test_stanley_reisner_round_trip():
